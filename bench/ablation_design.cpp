@@ -1,4 +1,4 @@
-// Design-choice ablations called out in DESIGN.md (not in the paper):
+// Design-choice ablations of this reproduction (not in the paper):
 //   1. propagation kernel: angular spectrum vs band-limited vs Fresnel
 //   2. FFT padding: circular (paper-style, unpadded) vs 2x zero-padded
 //   3. roughness neighborhood: 4 vs 8 neighbors as the training regularizer

@@ -282,7 +282,7 @@ void print_table_text(const TableSpec& spec, const BenchConfig& cfg,
               cfg.scaled_block(spec.paper_block), spec.paper_block,
               static_cast<unsigned long long>(cfg.seed), cfg.jobs);
   std::printf("note: measured numbers come from a CPU-sized synthetic rerun; "
-              "compare SHAPE, not absolutes (DESIGN.md 2).\n\n");
+              "compare SHAPE, not absolutes.\n\n");
 
   std::printf("%-10s | %21s | %25s | %25s\n", "model", "accuracy (%)",
               "R_overall before 2pi", "R_overall after 2pi");

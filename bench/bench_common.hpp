@@ -4,8 +4,9 @@
 //
 // Bench output convention: every row prints the paper's reported value next
 // to the measured one. Absolute numbers are NOT expected to match (CPU-sized
-// grids, synthetic data, reduced epochs — see DESIGN.md §2); the SHAPE
-// checks printed at the end of each bench assert the qualitative claims.
+// grids, synthetic stand-in datasets from data/synthetic.hpp, reduced
+// epochs); the SHAPE checks printed at the end of each bench assert the
+// qualitative claims.
 // Every table bench additionally emits a machine-readable JSON perf record
 // (same convention as serve_throughput) so later PRs can diff a trajectory.
 #pragma once

@@ -4,6 +4,8 @@
 // engineering view of where the training time goes.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -18,16 +20,38 @@ using namespace odonn;
 
 namespace {
 
+/// Marks the run failed when the buffer a benchmark re-transforms has left
+/// the finite range: its timings would then measure inf/NaN handling.
+void require_finite(benchmark::State& state,
+                    const std::vector<fft::Cplx>& data) {
+  for (const auto& v : data) {
+    if (!std::isfinite(v.real()) || !std::isfinite(v.imag())) {
+      state.SkipWithError("FFT buffer went non-finite");
+      return;
+    }
+  }
+}
+
+// Each iteration alternates the forward and the inverse transform: the pair
+// restores the input (up to rounding), so every iteration times fresh-scale
+// data instead of a buffer growing by n per unnormalized pass.
+fft::Direction direction_of(std::int64_t iteration) {
+  return iteration % 2 == 0 ? fft::Direction::Forward
+                            : fft::Direction::Inverse;
+}
+
 void BM_Fft1d(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto plan = fft::plan_for(n);
   Rng rng(1);
   std::vector<fft::Cplx> data(n);
   for (auto& v : data) v = {rng.uniform(), rng.uniform()};
+  std::int64_t iteration = 0;
   for (auto _ : state) {
-    plan->execute(data.data(), fft::Direction::Forward);
+    plan->execute(data.data(), direction_of(iteration++));
     benchmark::DoNotOptimize(data.data());
   }
+  require_finite(state, data);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
@@ -39,10 +63,12 @@ void BM_Fft2d(benchmark::State& state) {
   Rng rng(2);
   std::vector<fft::Cplx> data(n * n);
   for (auto& v : data) v = {rng.uniform(), rng.uniform()};
+  std::int64_t iteration = 0;
   for (auto _ : state) {
-    fft::transform_2d(data.data(), n, n, fft::Direction::Forward);
+    fft::transform_2d(data.data(), n, n, direction_of(iteration++));
     benchmark::DoNotOptimize(data.data());
   }
+  require_finite(state, data);
 }
 BENCHMARK(BM_Fft2d)->Arg(64)->Arg(128)->Arg(200)->Arg(256);
 

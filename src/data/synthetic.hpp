@@ -3,7 +3,8 @@
 // Real MNIST/FMNIST/KMNIST/EMNIST are loaded via data/idx.hpp when present;
 // in a fully offline environment these generators produce four *distinct*
 // 10-class 28x28 grayscale tasks that exercise exactly the same DONN code
-// paths (see DESIGN.md §2):
+// paths (encoding, training, readout all see 28x28 grayscale images with
+// ten labels, whichever source produced them):
 //   * Digits  — stroke-rendered digits 0-9                  (MNIST stand-in)
 //   * Fashion — filled apparel silhouettes                  (FMNIST stand-in)
 //   * Kana    — cursive multi-stroke glyphs                 (KMNIST stand-in)

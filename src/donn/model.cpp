@@ -92,13 +92,26 @@ void DonnModel::mask_gradients(std::vector<MatrixD>& grads) const {
   }
 }
 
-optics::Field DonnModel::propagate_through(const optics::Field& input) const {
-  optics::Field field = input;
-  for (const auto& phi : phases_) {
-    DiffMod layer(propagator_, &phi);
-    field = layer.forward(field);
+void DonnModel::forward_inplace(MatrixC& buf,
+                                const std::vector<MatrixC>& modulations,
+                                optics::Propagator::Workspace& workspace,
+                                std::vector<MatrixC>* propagated) const {
+  for (std::size_t l = 0; l < modulations.size(); ++l) {
+    propagator_->forward_inplace(buf, workspace);
+    if (propagated) (*propagated)[l] = buf;
+    const MatrixC& w = modulations[l];
+    for (std::size_t i = 0; i < buf.size(); ++i) buf[i] *= w[i];
   }
-  return propagator_->forward(field);
+  propagator_->forward_inplace(buf, workspace);
+}
+
+optics::Field DonnModel::propagate_through(const optics::Field& input) const {
+  ODONN_CHECK_SHAPE(input.grid() == config_.grid,
+                    "propagate_through: input grid mismatch");
+  MatrixC buf = input.values();
+  optics::Propagator::Workspace workspace;
+  forward_inplace(buf, modulation_tables(), workspace);
+  return optics::Field(config_.grid, std::move(buf));
 }
 
 MatrixD DonnModel::output_intensity(const optics::Field& input) const {
@@ -116,23 +129,14 @@ std::size_t DonnModel::predict(const optics::Field& input) const {
 std::vector<MatrixC> DonnModel::modulation_tables() const {
   std::vector<MatrixC> mods;
   mods.reserve(phases_.size());
-  for (const auto& phi : phases_) {
-    MatrixC w(phi.rows(), phi.cols());
-    for (std::size_t i = 0; i < phi.size(); ++i) {
-      // Same cos/sin evaluation as DiffMod::forward, so the batched path
-      // multiplies by bitwise-identical modulation factors.
-      w[i] = std::complex<double>(std::cos(phi[i]), std::sin(phi[i]));
-    }
-    mods.push_back(std::move(w));
-  }
+  for (const auto& phi : phases_) mods.push_back(modulation(phi));
   return mods;
 }
 
 void DonnModel::infer_batch(const std::vector<optics::Field>& inputs,
                             const std::vector<MatrixC>& modulations,
                             std::vector<std::size_t>* predictions,
-                            std::vector<std::vector<double>>* sums,
-                            std::vector<MatrixD>* intensities) const {
+                            std::vector<std::vector<double>>* sums) const {
   const std::size_t n = config_.grid.n;
   ODONN_CHECK_SHAPE(modulations.size() == phases_.size(),
                     "infer_batch: modulation table count mismatch");
@@ -146,7 +150,6 @@ void DonnModel::infer_batch(const std::vector<optics::Field>& inputs,
   }
   if (predictions) predictions->resize(inputs.size());
   if (sums) sums->resize(inputs.size());
-  if (intensities) intensities->resize(inputs.size());
   if (inputs.empty()) return;
 
   // Samples are independent, so chunks write only to their own output
@@ -161,11 +164,7 @@ void DonnModel::infer_batch(const std::vector<optics::Field>& inputs,
         MatrixD intensity(n, n);
         for (std::size_t k = lo; k < hi; ++k) {
           buf = inputs[k].values();
-          for (const auto& w : modulations) {
-            propagator_->forward_inplace(buf, workspace);
-            for (std::size_t i = 0; i < buf.size(); ++i) buf[i] *= w[i];
-          }
-          propagator_->forward_inplace(buf, workspace);
+          forward_inplace(buf, modulations, workspace);
           for (std::size_t i = 0; i < buf.size(); ++i) {
             intensity[i] = std::norm(buf[i]);
           }
@@ -176,31 +175,16 @@ void DonnModel::infer_batch(const std::vector<optics::Field>& inputs,
                 class_sums.begin());
           }
           if (sums) (*sums)[k] = std::move(class_sums);
-          if (intensities) (*intensities)[k] = intensity;
         }
       },
       /*grain=*/1);
 }
 
-std::vector<std::size_t> DonnModel::predict_batch(
-    const std::vector<optics::Field>& inputs) const {
-  std::vector<std::size_t> predictions;
-  infer_batch(inputs, modulation_tables(), &predictions, nullptr, nullptr);
-  return predictions;
-}
-
 std::vector<std::vector<double>> DonnModel::detector_sums_batch(
     const std::vector<optics::Field>& inputs) const {
   std::vector<std::vector<double>> sums;
-  infer_batch(inputs, modulation_tables(), nullptr, &sums, nullptr);
+  infer_batch(inputs, modulation_tables(), nullptr, &sums);
   return sums;
-}
-
-std::vector<MatrixD> DonnModel::output_intensity_batch(
-    const std::vector<optics::Field>& inputs) const {
-  std::vector<MatrixD> intensities;
-  infer_batch(inputs, modulation_tables(), nullptr, nullptr, &intensities);
-  return intensities;
 }
 
 std::vector<MatrixD> DonnModel::zero_gradients() const {
@@ -215,33 +199,44 @@ std::vector<MatrixD> DonnModel::zero_gradients() const {
 DonnModel::ForwardBackwardResult DonnModel::forward_backward(
     const optics::Field& input, std::size_t label,
     std::vector<MatrixD>& phase_grads, const LossOptions& loss_options) const {
+  ODONN_CHECK_SHAPE(input.grid() == config_.grid,
+                    "forward_backward: input grid mismatch");
   ODONN_CHECK_SHAPE(phase_grads.size() == phases_.size(),
                     "forward_backward: gradient count mismatch");
-
-  // Forward with per-layer caches.
-  std::vector<DiffModCache> caches(phases_.size());
-  optics::Field field = input;
-  for (std::size_t i = 0; i < phases_.size(); ++i) {
-    DiffMod layer(propagator_, &phases_[i]);
-    field = layer.forward(field, caches[i]);
+  for (std::size_t l = 0; l < phases_.size(); ++l) {
+    ODONN_CHECK_SHAPE(phase_grads[l].same_shape(phases_[l]),
+                      "forward_backward: phase gradient shape mismatch");
   }
-  const optics::Field at_detector = propagator_->forward(field);
-  const MatrixD intensity = at_detector.intensity();
+
+  // Forward, keeping each layer's propagated field; the tables serve both
+  // passes.
+  const std::vector<MatrixC> mods = modulation_tables();
+  std::vector<MatrixC> propagated(phases_.size());
+  MatrixC buf = input.values();
+  optics::Propagator::Workspace workspace;
+  forward_inplace(buf, mods, workspace, &propagated);
+  MatrixD intensity(buf.rows(), buf.cols());
+  for (std::size_t i = 0; i < buf.size(); ++i) intensity[i] = std::norm(buf[i]);
   const auto sums = detector_.readout(intensity);
   const LossResult lr = evaluate_loss(sums, label, loss_options);
 
   // Backward: dL/dI -> g(f) = 2 f dL/dI -> adjoint propagation -> layers.
   const MatrixD grad_intensity = detector_.scatter(lr.grad_sums);
-  MatrixC gf(intensity.rows(), intensity.cols());
-  const MatrixC& fdet = at_detector.values();
-  for (std::size_t i = 0; i < gf.size(); ++i) {
-    gf[i] = 2.0 * fdet[i] * grad_intensity[i];
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = 2.0 * buf[i] * grad_intensity[i];
   }
-  optics::Field grad = propagator_->adjoint(
-      optics::Field(input.grid(), std::move(gf)));
-  for (std::size_t i = phases_.size(); i-- > 0;) {
-    DiffMod layer(propagator_, &phases_[i]);
-    grad = layer.backward(grad, caches[i], phase_grads[i]);
+  propagator_->adjoint_inplace(buf, workspace);
+  for (std::size_t l = phases_.size(); l-- > 0;) {
+    const MatrixC& w = mods[l];
+    const MatrixC& prop = propagated[l];
+    MatrixD& grad = phase_grads[l];
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      const std::complex<double> gw = std::conj(prop[i]) * buf[i];
+      grad[i] += (std::complex<double>(0.0, 1.0) * w[i] * std::conj(gw)).real();
+      buf[i] = std::conj(w[i]) * buf[i];
+    }
+    // The gradient wrt the input field is not needed.
+    if (l > 0) propagator_->adjoint_inplace(buf, workspace);
   }
   return {lr.loss, lr.predicted};
 }

@@ -1,22 +1,24 @@
 // DonnModel — the full diffractive optical neural network (paper §III-A,
 // Eq. 2): source -> [free space -> phase mask] x N -> free space -> detector.
+// One diffractive layer is DiffMod(f, W) = L(f, z) * exp(i W): free-space
+// propagation over z, then elementwise phase modulation.
 //
 // Parameters are the per-layer phase masks; optional sparsity masks freeze
-// pixels at zero (§III-C). Forward/backward are hand-derived (DESIGN.md §4)
-// and validated against finite differences in tests.
+// pixels at zero (§III-C). Forward/backward are hand-derived (the adjoint is
+// written out on forward_backward) and validated against finite differences
+// in tests.
 //
-// Batched inference and thread safety
-// -----------------------------------
-// Beyond the one-sample path (predict / detector_sums / output_intensity),
-// the model exposes batched entry points — predict_batch,
-// detector_sums_batch, output_intensity_batch and the plan-reusing core
-// infer_batch — that evaluate K samples against the single cached
-// propagation kernel / FFT plan set, share precomputed per-layer modulation
-// tables exp(i*phi) across the whole batch (modulation_tables()), and
-// parallelize over samples via common/parallel with per-chunk scratch
-// buffers. The batched path performs bitwise-identical arithmetic to the
-// single-sample path, so predictions and detector sums match exactly
-// (tests/serve_test.cpp asserts this).
+// One forward loop
+// ----------------
+// Every inference entry point (propagate_through, output_intensity,
+// detector_sums, predict, infer_batch) and the training forward pass run
+// one private in-place loop that carries a sample buffer through the mask
+// stack using per-layer modulation tables exp(i*phi) (modulation_tables()).
+// infer_batch and detector_sums_batch evaluate K samples against the single
+// cached propagation kernel / FFT plan set, share one set of tables across
+// the batch, and parallelize over samples via common/parallel with
+// per-chunk scratch buffers; results are bitwise identical to the
+// one-sample entry points (tests/serve_test.cpp asserts this).
 //
 // Thread-safety contract: every const member function is safe to call
 // concurrently from any number of threads — inference reads the phase
@@ -33,7 +35,6 @@
 
 #include "common/rng.hpp"
 #include "donn/detector.hpp"
-#include "donn/diffmod.hpp"
 #include "donn/loss.hpp"
 #include "optics/encode.hpp"
 #include "optics/propagate.hpp"
@@ -76,7 +77,8 @@ struct DonnConfig {
 
 class DonnModel {
  public:
-  /// Initializes all phase masks uniformly in [0, 2*pi).
+  /// Initializes every phase mask per config.init (flat by default,
+  /// uniform in [0, 2*pi) for PhaseInit::Uniform).
   DonnModel(const DonnConfig& config, Rng& rng);
 
   const DonnConfig& config() const { return config_; }
@@ -131,19 +133,10 @@ class DonnModel {
   void infer_batch(const std::vector<optics::Field>& inputs,
                    const std::vector<MatrixC>& modulations,
                    std::vector<std::size_t>* predictions,
-                   std::vector<std::vector<double>>* sums,
-                   std::vector<MatrixD>* intensities) const;
-
-  /// Batched argmax classes (exact parity with per-sample predict()).
-  std::vector<std::size_t> predict_batch(
-      const std::vector<optics::Field>& inputs) const;
+                   std::vector<std::vector<double>>* sums) const;
 
   /// Batched raw per-class scores.
   std::vector<std::vector<double>> detector_sums_batch(
-      const std::vector<optics::Field>& inputs) const;
-
-  /// Batched detector-plane intensities.
-  std::vector<MatrixD> output_intensity_batch(
       const std::vector<optics::Field>& inputs) const;
 
   struct ForwardBackwardResult {
@@ -155,6 +148,17 @@ class DonnModel {
   /// `phase_grads` (must be preallocated to the right shapes); the data
   /// term only — regularizers are added by the trainer. Thread-safe for
   /// concurrent calls (model state is read-only here).
+  ///
+  /// The backward pass uses the complex gradient convention
+  /// g(x) = dL/dRe(x) + i dL/dIm(x). At the detector, I = |f|^2 gives
+  /// g(f) = 2 f dL/dI. Free space f_out = P f_in, P = F^{-1} diag(H) F, is
+  /// linear with adjoint P* = F^{-1} diag(conj(H)) F, so
+  /// g(f_in) = P*(g(f_out)). Each
+  /// layer out = f_prop .* w with w = exp(i phi), f_prop the field after free
+  /// space (kept from the forward pass), gives
+  ///   g(w)      = conj(f_prop) .* g(out)
+  ///   dL/dphi   = Re(i * w * conj(g(w)))     (dw/dphi = i w)
+  ///   g(f_prop) = conj(w) .* g(out).
   ForwardBackwardResult forward_backward(const optics::Field& input,
                                          std::size_t label,
                                          std::vector<MatrixD>& phase_grads,
@@ -164,6 +168,15 @@ class DonnModel {
   std::vector<MatrixD> zero_gradients() const;
 
  private:
+  /// The forward loop: carries `buf` (an input sample) in place through
+  /// [propagate, multiply by modulations[l]] for every layer, then the
+  /// final propagation, leaving the detector-plane field. When `propagated`
+  /// is non-null, (*propagated)[l] receives layer l's field after free
+  /// space, before modulation (the backward pass's cache).
+  void forward_inplace(MatrixC& buf, const std::vector<MatrixC>& modulations,
+                       optics::Propagator::Workspace& workspace,
+                       std::vector<MatrixC>* propagated = nullptr) const;
+
   DonnConfig config_;
   std::shared_ptr<const optics::Propagator> propagator_;
   std::vector<MatrixD> phases_;

@@ -6,6 +6,13 @@
 //    not powers of two), which re-expresses the DFT as a convolution carried
 //    out with an internal radix-2 plan.
 //
+// Both run one radix-2 butterfly routine on split real/imag pointers. The
+// scalar entry (execute) runs it on interleaved std::complex storage; the
+// lane-major entries (execute_lanes, transform_2d_lanes) run it on kLanes
+// samples side by side, so one butterfly sweep advances every lane and the
+// lane loops auto-vectorize. Each lane performs the same IEEE operation
+// sequence as execute() on that lane's samples, so the two agree bitwise.
+//
 // Plans are immutable after construction (twiddle/chirp tables only) and are
 // safe to execute concurrently from many threads; per-call scratch lives in
 // thread_local storage. Convention: unnormalized forward, 1/n inverse, i.e.
@@ -26,18 +33,15 @@ using Cplx = std::complex<double>;
 
 enum class Direction { Forward, Inverse };
 
+/// Samples a lane-major buffer holds side by side: element i of lane s sits
+/// at index i * kLanes + s of separate real and imaginary planes.
+inline constexpr std::size_t kLanes = 4;
+
 /// Smallest power of two >= n (n >= 1).
 std::size_t next_pow2(std::size_t n);
 
 /// True if n is a power of two (n >= 1).
 bool is_pow2(std::size_t n);
-
-/// Radix-2 table builders, shared by Plan and the serving batch kernel so
-/// both paths multiply by bitwise-identical factors: twiddles are
-/// exp(-2*pi*i*k/n) for k < n/2; the permutation is the bit-reversal order
-/// of [0, n) for power-of-two n.
-std::vector<Cplx> radix2_twiddles(std::size_t n);
-std::vector<std::size_t> bit_reverse_permutation(std::size_t n);
 
 class Plan {
  public:
@@ -52,13 +56,22 @@ class Plan {
   void execute(Cplx* data, Direction dir) const;
   void execute(std::span<Cplx> data, Direction dir) const;
 
+  /// In-place lane-major transform of kLanes samples of size() elements
+  /// each (re/im hold size() * kLanes values). Power-of-two plans only.
+  void execute_lanes(double* re, double* im, Direction dir) const;
+
+  /// In-place lane-major 2-D transform of kLanes size() x size() row-major
+  /// grids: every row, then every column gathered into thread-local
+  /// scratch — the order of fft::transform_2d, on the calling thread.
+  /// Power-of-two plans only.
+  void transform_2d_lanes(double* re, double* im, Direction dir) const;
+
  private:
-  void pow2_transform(Cplx* data, std::size_t n, bool inverse) const;
   void bluestein_forward(Cplx* data) const;
 
   std::size_t n_;
-  // Radix-2 twiddles for the plan length itself (pow2 plans) or for the
-  // internal convolution length m (Bluestein plans).
+  // Radix-2 tables for the plan length itself (pow2 plans) or for the
+  // internal convolution length conv_n_ (Bluestein plans).
   std::size_t conv_n_ = 0;                 // pow2 length actually transformed
   std::vector<Cplx> twiddles_;             // exp(-2*pi*i*k/conv_n), k < conv_n/2
   std::vector<std::size_t> bit_reverse_;   // permutation for conv_n

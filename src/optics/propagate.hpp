@@ -2,9 +2,10 @@
 // and optional 2x zero-padding (linear- vs circular-convolution ablation).
 //
 // The adjoint operator P* = F^{-1} diag(conj(H)) F is exposed for
-// backpropagation: because the forward/inverse FFT scalings cancel, the
-// adjoint reuses the same machinery with the conjugated kernel
-// (see DESIGN.md §4).
+// backpropagation. With the unnormalized forward and 1/n inverse FFT, F* =
+// n F^{-1} and (F^{-1})* = F / n, so the scalings cancel in
+// P* = F* diag(conj(H)) (F^{-1})* and the adjoint reuses the same machinery
+// with the conjugated kernel.
 //
 // Thread safety: a constructed Propagator is immutable (cached transfer
 // function only) and all member functions are const, so one instance may be

@@ -1,7 +1,6 @@
 #include "serve/batch_kernel.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -25,6 +24,7 @@ BatchKernel::BatchKernel(const donn::DonnModel& model,
   ODONN_CHECK(supports(model), "BatchKernel: unsupported model geometry");
   ODONN_CHECK_SHAPE(modulations.size() == model.num_layers(),
                     "BatchKernel: modulation table count mismatch");
+  plan_ = fft::plan_for(n_);
 
   const MatrixC& transfer = model.propagator().transfer();
   kernel_re_.resize(transfer.size());
@@ -46,101 +46,11 @@ BatchKernel::BatchKernel(const donn::DonnModel& model,
       mod_im_[l][i] = w[i].imag();
     }
   }
-
-  // The same table builders fft::Plan uses, so every butterfly multiplies
-  // by bitwise-identical factors.
-  const auto twiddles = fft::radix2_twiddles(n_);
-  tw_re_.resize(twiddles.size());
-  tw_im_.resize(twiddles.size());
-  itw_im_.resize(twiddles.size());
-  for (std::size_t k = 0; k < twiddles.size(); ++k) {
-    tw_re_[k] = twiddles[k].real();
-    tw_im_[k] = twiddles[k].imag();
-    itw_im_[k] = -tw_im_[k];  // conj, exactly as Plan::execute(Inverse)
-  }
-  bit_reverse_ = fft::bit_reverse_permutation(n_);
-}
-
-/// One length-n radix-2 transform over a contiguous SoA segment of n lane
-/// groups — the butterfly order of fft::Plan::pow2_transform, applied to
-/// kLanes samples per sweep.
-void BatchKernel::fft_pass(double* re, double* im, bool inverse) const {
-  const std::size_t n = n_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = bit_reverse_[i];
-    if (i < j) {
-      for (std::size_t s = 0; s < L; ++s) {
-        std::swap(re[i * L + s], re[j * L + s]);
-        std::swap(im[i * L + s], im[j * L + s]);
-      }
-    }
-  }
-  const double* tw_im = inverse ? itw_im_.data() : tw_im_.data();
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len >> 1;
-    const std::size_t stride = n / len;
-    for (std::size_t base = 0; base < n; base += len) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const double wr = tw_re_[k * stride];
-        const double wi = tw_im[k * stride];
-        double* pr = re + (base + k) * L;
-        double* pi = im + (base + k) * L;
-        double* qr = re + (base + k + half) * L;
-        double* qi = im + (base + k + half) * L;
-        for (std::size_t s = 0; s < L; ++s) {
-          const double odd_r = qr[s] * wr - qi[s] * wi;
-          const double odd_i = qr[s] * wi + qi[s] * wr;
-          const double even_r = pr[s];
-          const double even_i = pi[s];
-          pr[s] = even_r + odd_r;
-          pi[s] = even_i + odd_i;
-          qr[s] = even_r - odd_r;
-          qi[s] = even_i - odd_i;
-        }
-      }
-    }
-  }
-  if (inverse) {
-    const double scale = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < n * L; ++i) {
-      re[i] *= scale;
-      im[i] *= scale;
-    }
-  }
-}
-
-/// Rows-then-columns 2-D transform, mirroring fft::transform_2d: rows are
-/// contiguous lane groups; columns gather into a scratch segment, transform
-/// and scatter back.
-void BatchKernel::transform_2d(double* re, double* im, double* col_re,
-                               double* col_im, bool inverse) const {
-  const std::size_t n = n_;
-  for (std::size_t r = 0; r < n; ++r) {
-    fft_pass(re + r * n * L, im + r * n * L, inverse);
-  }
-  for (std::size_t c = 0; c < n; ++c) {
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::size_t src = (r * n + c) * L;
-      for (std::size_t s = 0; s < L; ++s) {
-        col_re[r * L + s] = re[src + s];
-        col_im[r * L + s] = im[src + s];
-      }
-    }
-    fft_pass(col_re, col_im, inverse);
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::size_t dst = (r * n + c) * L;
-      for (std::size_t s = 0; s < L; ++s) {
-        re[dst + s] = col_re[r * L + s];
-        im[dst + s] = col_im[r * L + s];
-      }
-    }
-  }
 }
 
 /// Free-space propagation F^{-1} diag(H) F over the whole lane group.
-void BatchKernel::propagate(double* re, double* im, double* col_re,
-                            double* col_im) const {
-  transform_2d(re, im, col_re, col_im, /*inverse=*/false);
+void BatchKernel::propagate(double* re, double* im) const {
+  plan_->transform_2d_lanes(re, im, fft::Direction::Forward);
   const std::size_t count = n_ * n_;
   for (std::size_t i = 0; i < count; ++i) {
     const double kr = kernel_re_[i];
@@ -154,7 +64,7 @@ void BatchKernel::propagate(double* re, double* im, double* col_re,
       pi[s] = vi;
     }
   }
-  transform_2d(re, im, col_re, col_im, /*inverse=*/true);
+  plan_->transform_2d_lanes(re, im, fft::Direction::Inverse);
 }
 
 void BatchKernel::run(const std::vector<optics::Field>& inputs,
@@ -177,7 +87,6 @@ void BatchKernel::run(const std::vector<optics::Field>& inputs,
       0, groups,
       [&](std::size_t lo, std::size_t hi) {
         std::vector<double> re(count * L), im(count * L);
-        std::vector<double> col_re(n * L), col_im(n * L);
         for (std::size_t g = lo; g < hi; ++g) {
           const std::size_t first = g * L;
           const std::size_t lanes = std::min(L, inputs.size() - first);
@@ -193,7 +102,7 @@ void BatchKernel::run(const std::vector<optics::Field>& inputs,
           }
 
           for (std::size_t l = 0; l < mod_re_.size(); ++l) {
-            propagate(re.data(), im.data(), col_re.data(), col_im.data());
+            propagate(re.data(), im.data());
             const double* mr = mod_re_[l].data();
             const double* mi = mod_im_[l].data();
             for (std::size_t i = 0; i < count; ++i) {
@@ -207,7 +116,7 @@ void BatchKernel::run(const std::vector<optics::Field>& inputs,
               }
             }
           }
-          propagate(re.data(), im.data(), col_re.data(), col_im.data());
+          propagate(re.data(), im.data());
 
           // Detector readout straight off the lane group: same per-pixel
           // |f|^2 values accumulated in the same region order as

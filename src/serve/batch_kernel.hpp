@@ -3,10 +3,10 @@
 // This is the optimization batching uniquely enables: the naive per-sample
 // path cannot amortize anything across samples, but a batch can be packed
 // lane-major (structure-of-arrays, kLanes samples side by side) so one
-// butterfly/kernel/modulation sweep advances kLanes samples at once. Twiddle
-// loads, loop control and the libstdc++ complex NaN-recovery branches are
-// paid once per lane group instead of once per sample, and the inner lane
-// loops auto-vectorize.
+// butterfly/kernel/modulation sweep advances kLanes samples at once. The
+// transforms are fft::Plan's lane-major entry; this kernel packs the
+// samples, applies the transfer-function and modulation multiplies, and
+// reads the detector regions off the lane group.
 //
 // Exactness: each lane performs the same IEEE add/mul sequence as the
 // scalar pipeline (fft::Plan radix-2 butterflies -> transfer-function
@@ -26,13 +26,14 @@
 #include <vector>
 
 #include "donn/model.hpp"
+#include "fft/fft_plan.hpp"
 
 namespace odonn::serve {
 
 class BatchKernel {
  public:
   /// Samples packed side by side in one SoA sweep.
-  static constexpr std::size_t kLanes = 4;
+  static constexpr std::size_t kLanes = fft::kLanes;
 
   /// True when this kernel can serve the model (radix-2 grid, no pad2x).
   static bool supports(const donn::DonnModel& model);
@@ -49,21 +50,15 @@ class BatchKernel {
            std::vector<std::vector<double>>* sums) const;
 
  private:
-  void fft_pass(double* re, double* im, bool inverse) const;
-  void transform_2d(double* re, double* im, double* col_re, double* col_im,
-                    bool inverse) const;
-  void propagate(double* re, double* im, double* col_re,
-                 double* col_im) const;
+  void propagate(double* re, double* im) const;
 
   const donn::DonnModel* model_;
   std::size_t n_ = 0;
+  std::shared_ptr<const fft::Plan> plan_;
   // Transfer function and modulation tables, split into planes so the lane
   // loops touch plain double arrays.
   std::vector<double> kernel_re_, kernel_im_;
   std::vector<std::vector<double>> mod_re_, mod_im_;
-  // Radix-2 tables, same values as the cached fft::Plan builds.
-  std::vector<double> tw_re_, tw_im_, itw_im_;
-  std::vector<std::size_t> bit_reverse_;
 };
 
 }  // namespace odonn::serve

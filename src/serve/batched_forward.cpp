@@ -24,26 +24,28 @@ bool worth_fusing(std::size_t batch_size) {
 
 }  // namespace
 
+void BatchedForward::evaluate(
+    const std::vector<optics::Field>& inputs,
+    std::vector<std::size_t>* predictions,
+    std::vector<std::vector<double>>* sums) const {
+  if (kernel_ && worth_fusing(inputs.size())) {
+    kernel_->run(inputs, predictions, sums);
+  } else {
+    model_->infer_batch(inputs, modulations_, predictions, sums);
+  }
+}
+
 BatchedForward::Result BatchedForward::run(
     const std::vector<optics::Field>& inputs) const {
   Result result;
-  if (kernel_ && worth_fusing(inputs.size())) {
-    kernel_->run(inputs, &result.predictions, &result.detector_sums);
-  } else {
-    model_->infer_batch(inputs, modulations_, &result.predictions,
-                        &result.detector_sums, nullptr);
-  }
+  evaluate(inputs, &result.predictions, &result.detector_sums);
   return result;
 }
 
 std::vector<std::size_t> BatchedForward::predict(
     const std::vector<optics::Field>& inputs) const {
   std::vector<std::size_t> predictions;
-  if (kernel_ && worth_fusing(inputs.size())) {
-    kernel_->run(inputs, &predictions, nullptr);
-  } else {
-    model_->infer_batch(inputs, modulations_, &predictions, nullptr, nullptr);
-  }
+  evaluate(inputs, &predictions, nullptr);
   return predictions;
 }
 

@@ -50,6 +50,12 @@ class BatchedForward {
   bool fused() const { return kernel_ != nullptr; }
 
  private:
+  /// Routes a batch to the fused kernel or the generic path and fills the
+  /// non-null outputs.
+  void evaluate(const std::vector<optics::Field>& inputs,
+                std::vector<std::size_t>* predictions,
+                std::vector<std::vector<double>>* sums) const;
+
   std::shared_ptr<const donn::DonnModel> model_;
   std::vector<MatrixC> modulations_;
   std::unique_ptr<const BatchKernel> kernel_;  ///< null -> fallback path

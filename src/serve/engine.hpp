@@ -6,7 +6,7 @@
 // BatchedForward (rebuilt only when the registry entry for that name is
 // replaced, so steady traffic pays the modulation-table setup once per
 // published model, not per batch). Within a batch, sample-level parallelism
-// comes from common/parallel inside infer_batch, capped by
+// comes from common/parallel inside BatchedForward, capped by
 // `inner_threads` when set (how a cluster replica pins its share of the
 // shared pool).
 //

@@ -160,7 +160,9 @@ double evaluate_accuracy(const donn::DonnModel& model,
                          const optics::EncodeOptions& encode = {});
 
 /// Accuracy with every phase mask passed through the interpixel-crosstalk
-/// deployment model first (DESIGN.md §2) — the "physical deployment" column.
+/// deployment model first (donn/crosstalk.hpp: rough masks are smeared more
+/// than smooth ones, standing in for fabrication) — the "physical
+/// deployment" column.
 double evaluate_deployed_accuracy(const donn::DonnModel& model,
                                   const data::Dataset& test,
                                   const donn::CrosstalkOptions& crosstalk,

@@ -1,6 +1,7 @@
-// Tests for src/donn: detector geometry, losses (with gradient checks), the
-// DiffMod backward, full-model gradient checks against finite differences,
-// 2*pi inference invariance, sparsity masking and the crosstalk model.
+// Tests for src/donn: detector geometry, losses (with gradient checks),
+// full-model gradient checks against finite differences, training/inference
+// forward parity, 2*pi inference invariance, sparsity masking and the
+// crosstalk model.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -319,6 +320,35 @@ TEST(Model, ForwardIsDeterministic) {
   const auto a = model.detector_sums(input);
   const auto b = model.detector_sums(input);
   EXPECT_EQ(a, b);
+}
+
+TEST(Model, ForwardBackwardForwardMatchesInferenceExactly) {
+  // The training forward pass and the inference path run one loop: the
+  // loss and prediction forward_backward reports must equal evaluate_loss
+  // over detector_sums bit for bit, on radix-2, Bluestein, pad2x and
+  // differential-readout models alike.
+  std::vector<DonnConfig> configs = {tiny_config(16, 3), tiny_config(20, 2)};
+  configs.push_back(tiny_config(16, 2));
+  configs.back().pad2x = true;
+  configs.push_back(tiny_config(16, 2));
+  configs.back().detector = DetectorMode::Differential;
+  std::uint64_t seed = 40;
+  for (const DonnConfig& cfg : configs) {
+    Rng rng(++seed);
+    const DonnModel model(cfg, rng);
+    const auto input = random_input(cfg.grid, seed + 100);
+    LossOptions loss_opt;
+    for (std::size_t label : {std::size_t{0}, std::size_t{7}}) {
+      auto grads = model.zero_gradients();
+      const auto trained =
+          model.forward_backward(input, label, grads, loss_opt);
+      const LossResult inferred =
+          evaluate_loss(model.detector_sums(input), label, loss_opt);
+      EXPECT_EQ(trained.loss, inferred.loss) << "grid " << cfg.grid.n;
+      EXPECT_EQ(trained.predicted, inferred.predicted);
+      EXPECT_EQ(trained.predicted, model.predict(input));
+    }
+  }
 }
 
 TEST(Model, EnergyConservedThroughLayers) {

@@ -1,7 +1,8 @@
 // Tests for src/fft: correctness against the naive DFT, inverse round
 // trips, Parseval, linearity, shift theorem, 2-D transforms, fftshift, and
 // frequency coordinates — parameterized across power-of-two and Bluestein
-// sizes (including the paper's 200).
+// sizes (including the paper's 200) — and bitwise lane/scalar parity of the
+// lane-major entry points.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -207,6 +208,81 @@ TEST(FftPlan, ExecuteSpanChecksLength) {
   std::vector<Cplx> wrong(7);
   EXPECT_THROW(plan.execute(std::span<Cplx>(wrong), Direction::Forward),
                ShapeError);
+}
+
+/// kLanes signals of length n packed lane-major; the last lane replicates
+/// lane 0, the way a batch fills an incomplete lane group.
+struct LaneGroup {
+  std::vector<std::vector<Cplx>> lanes;
+  std::vector<double> re, im;
+
+  LaneGroup(std::size_t n, std::uint64_t seed) {
+    for (std::size_t s = 0; s + 1 < kLanes; ++s) {
+      lanes.push_back(random_signal(n, seed + s));
+    }
+    lanes.push_back(lanes.front());
+    re.resize(n * kLanes);
+    im.resize(n * kLanes);
+    for (std::size_t s = 0; s < kLanes; ++s) {
+      for (std::size_t i = 0; i < n; ++i) {
+        re[i * kLanes + s] = lanes[s][i].real();
+        im[i * kLanes + s] = lanes[s][i].imag();
+      }
+    }
+  }
+
+  /// Lane s's element i equals `expected[i]` bit for bit.
+  ::testing::AssertionResult lane_equals(std::size_t s,
+                                         const std::vector<Cplx>& expected) {
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      if (re[i * kLanes + s] != expected[i].real() ||
+          im[i * kLanes + s] != expected[i].imag()) {
+        return ::testing::AssertionFailure()
+               << "lane " << s << " element " << i << " differs";
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+};
+
+TEST(FftPlan, LaneMajorMatchesScalarBitwise) {
+  for (std::size_t n = 1; n <= 1024; n <<= 1) {
+    const Plan plan(n);
+    for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+      LaneGroup group(n, 1000 + n);
+      plan.execute_lanes(group.re.data(), group.im.data(), dir);
+      for (std::size_t s = 0; s < kLanes; ++s) {
+        auto scalar = group.lanes[s];
+        plan.execute(scalar.data(), dir);
+        EXPECT_TRUE(group.lane_equals(s, scalar)) << "n=" << n;
+        const auto reference = dft_reference(group.lanes[s], dir);
+        EXPECT_LT(max_err(scalar, reference), 1e-9 * static_cast<double>(n))
+            << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(FftPlan, LaneMajor2dMatchesTransform2dBitwise) {
+  for (const std::size_t n : {1, 2, 8, 16, 64}) {
+    const Plan plan(n);
+    for (const Direction dir : {Direction::Forward, Direction::Inverse}) {
+      LaneGroup group(n * n, 2000 + n);
+      plan.transform_2d_lanes(group.re.data(), group.im.data(), dir);
+      for (std::size_t s = 0; s < kLanes; ++s) {
+        auto scalar = group.lanes[s];
+        transform_2d(scalar.data(), n, n, dir);
+        EXPECT_TRUE(group.lane_equals(s, scalar)) << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(FftPlan, LaneMajorRejectsBluesteinPlans) {
+  const Plan plan(200);
+  std::vector<double> re(200 * kLanes), im(200 * kLanes);
+  EXPECT_THROW(plan.execute_lanes(re.data(), im.data(), Direction::Forward),
+               Error);
 }
 
 TEST(FftPlan, PlanCacheReturnsSameInstance) {

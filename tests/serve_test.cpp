@@ -1,6 +1,5 @@
 // Tests for src/serve: batched-vs-single-sample parity (bit-for-bit on
-// predictions, detector sums and intensities, including pad2x and masked
-// models), FFT-plan reuse across batches, registry round-trips through
+// predictions and detector sums, including pad2x and masked models), FFT-plan reuse across batches, registry round-trips through
 // donn/serialize, engine request/future semantics under concurrent
 // submission, and the stats percentile rules.
 #include <gtest/gtest.h>
@@ -110,23 +109,24 @@ TEST(BatchedInference, BitForBitParityWithSingleSample) {
   const donn::DonnModel model = make_model(cfg, 31);
   const auto inputs = random_inputs(cfg.grid, 9, 32);
 
-  const auto predictions = model.predict_batch(inputs);
-  const auto sums = model.detector_sums_batch(inputs);
-  const auto intensities = model.output_intensity_batch(inputs);
+  std::vector<std::size_t> predictions;
+  std::vector<std::vector<double>> sums;
+  model.infer_batch(inputs, model.modulation_tables(), &predictions, &sums);
+  const auto batch_sums = model.detector_sums_batch(inputs);
   ASSERT_EQ(predictions.size(), inputs.size());
   ASSERT_EQ(sums.size(), inputs.size());
-  ASSERT_EQ(intensities.size(), inputs.size());
+  ASSERT_EQ(batch_sums.size(), inputs.size());
 
   for (std::size_t k = 0; k < inputs.size(); ++k) {
     EXPECT_EQ(predictions[k], model.predict(inputs[k]));
     const auto single_sums = model.detector_sums(inputs[k]);
     ASSERT_EQ(sums[k].size(), single_sums.size());
+    ASSERT_EQ(batch_sums[k].size(), single_sums.size());
     for (std::size_t c = 0; c < single_sums.size(); ++c) {
       // Exact equality: the batched path performs identical arithmetic.
       EXPECT_EQ(sums[k][c], single_sums[c]);
+      EXPECT_EQ(batch_sums[k][c], single_sums[c]);
     }
-    EXPECT_EQ(max_abs_diff(intensities[k], model.output_intensity(inputs[k])),
-              0.0);
   }
 }
 
@@ -159,8 +159,9 @@ TEST(BatchedInference, SparsifiedModelParity) {
   model.set_masks(std::move(masks));
 
   const auto inputs = random_inputs(cfg.grid, 6, 52);
-  const auto predictions = model.predict_batch(inputs);
-  const auto sums = model.detector_sums_batch(inputs);
+  std::vector<std::size_t> predictions;
+  std::vector<std::vector<double>> sums;
+  model.infer_batch(inputs, model.modulation_tables(), &predictions, &sums);
   for (std::size_t k = 0; k < inputs.size(); ++k) {
     EXPECT_EQ(predictions[k], model.predict(inputs[k]));
     const auto single = model.detector_sums(inputs[k]);
@@ -173,16 +174,15 @@ TEST(BatchedInference, SparsifiedModelParity) {
 TEST(BatchedInference, EmptyBatchAndShapeErrors) {
   const donn::DonnConfig cfg = tiny_config(16, 2);
   const donn::DonnModel model = make_model(cfg, 61);
-  EXPECT_TRUE(model.predict_batch({}).empty());
+  EXPECT_TRUE(model.detector_sums_batch({}).empty());
 
   const auto wrong = random_inputs(donn::DonnConfig::scaled(32).grid, 1, 62);
-  EXPECT_THROW(model.predict_batch(wrong), ShapeError);
+  EXPECT_THROW(model.detector_sums_batch(wrong), ShapeError);
 
   std::vector<MatrixC> bad_mods(model.num_layers() - 1);
   std::vector<std::size_t> predictions;
-  EXPECT_THROW(
-      model.infer_batch({}, bad_mods, &predictions, nullptr, nullptr),
-      ShapeError);
+  EXPECT_THROW(model.infer_batch({}, bad_mods, &predictions, nullptr),
+               ShapeError);
 }
 
 TEST(BatchedForwardPass, FusedKernelBitForBitParity) {
@@ -320,9 +320,11 @@ TEST(Registry, SerializeRoundTripServesIdentically) {
   }
 
   const auto inputs = random_inputs(cfg.grid, 5, 92);
-  const auto from_disk = loaded->predict_batch(inputs);
-  const auto in_memory = model.predict_batch(inputs);
-  EXPECT_EQ(from_disk, in_memory);
+  const auto from_disk = BatchedForward(loaded).predict(inputs);
+  ASSERT_EQ(from_disk.size(), inputs.size());
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    EXPECT_EQ(from_disk[k], model.predict(inputs[k]));
+  }
 }
 
 TEST(Registry, SaveLoadRoundTripSharesOneCodePath) {
